@@ -23,11 +23,14 @@ bench-smoke:
 	$(PYTHON) benchmarks/bench_runner.py
 
 ## Columnar-kernel parity gate: the differential test suites (fast
-## fuzz tier included) plus the full parity matrix, which writes
+## fuzz tier included), capture parity (simulator-written columns ==
+## the oracle's layout) and the pinned stored-trace bytes, plus the
+## full parity matrix, which writes
 ## reports/kernel_parity.json and fails on any byte-level divergence
 ## between the columnar and reference engines (see docs/kernel.md).
 kernel-parity:
 	$(PYTHON) -m pytest -x -q tests/core/test_kernel_parity.py \
+		tests/core/test_capture_parity.py tests/cpu/test_trace_digests.py \
 		tests/properties/test_kernel_fuzz.py tests/runner/test_engine.py
 	$(PYTHON) benchmarks/bench_kernel.py
 

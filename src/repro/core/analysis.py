@@ -561,9 +561,18 @@ def analyze_machine(
     engine=None,
 ) -> AnalysisResult:
     """Run ``machine`` to completion (or the configured instruction
-    budget) and analyse its trace."""
+    budget) and analyse its trace: captured straight into columns
+    (``simulate`` span) for the columnar engine, streamed as
+    ``machine.trace()`` views for the reference engine."""
+    config = config or AnalysisConfig()
+    engine = resolve_engine(engine, (config,))
+    if engine is AnalysisEngine.COLUMNAR:
+        with get_recorder().span("simulate"):
+            trace = TraceColumns.capture(machine, config.max_instructions)
+    else:
+        trace = machine.trace()
     return analyze_trace(
-        machine.trace(),
+        trace,
         len(machine.program.instructions),
         name=name,
         config=config,

@@ -157,15 +157,3 @@ def behavior_counts(graph: nx.MultiDiGraph):
         data["behavior"] for __, __, data in graph.edges(data=True)
     )
     return node_counts, arc_counts
-
-
-def node_summary(graph: nx.MultiDiGraph, uid: int) -> str:
-    """One-line description of a node, for listings and examples."""
-    data = graph.nodes[uid]
-    if data.get("kind") == "data":
-        return f"D node {uid}"
-    label = data["label"] or "-"
-    return (
-        f"uid={uid} pc={data['pc']} {data['op']} out={data['out']!r} "
-        f"class={label} behavior={getattr(data['behavior'], 'name', '-')}"
-    )

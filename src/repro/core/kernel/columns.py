@@ -1,12 +1,17 @@
 """Columnar trace representation — the kernel's data layout.
 
-:class:`TraceColumns` holds one decoded trace as flat parallel arrays
-instead of per-record :class:`~repro.cpu.trace.DynInst` objects: one
+:class:`TraceColumns` holds one trace as flat parallel arrays instead of
+per-record :class:`~repro.cpu.trace.DynInst` objects: one
 entry per dynamic instruction in the record columns (``pc``,
 ``op_index``, ``out`` ...) and one entry per consumed operand in the
 arc columns (``src_value``, ``src_prod`` ...), joined by the
 ``src_start`` offset column (record ``r`` owns arcs
-``src_start[r] : src_start[r+1]``).  Everything the analysis engine
+``src_start[r] : src_start[r+1]``).  A trace reaches this form one of
+two ways, neither of which materialises a ``DynInst``: a cold run
+adopts the simulator's own rows (:meth:`TraceColumns.capture`), a
+replay decodes the stored v2 bytes (:meth:`TraceColumns.from_v2`).
+:meth:`TraceColumns.from_records` is the reference oracle's builder.
+Everything the analysis engine
 needs per element is precomputed **once per trace** at build time —
 predictor input keys, arc group keys, D-node identities, the
 branch/output/passthrough record subsets — so a multi-config sweep
@@ -29,44 +34,35 @@ big-integer bitwise arithmetic and count them with ``bytes.translate``
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from collections import Counter
-from itertools import islice
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, is_, lshift, mul, or_, sub
 
-from repro.cpu.trace import DynInst, Source
+from repro.cpu.trace import (ARC_FIELDS, ROW_FIELDS, TAKEN_NONE,
+                             record_view)
+# The v2 record layout, owned by the trace-file module.
+from repro.cpu.tracefile import (
+    _F64, _HAS_OUT, _HAS_TAKEN, _I64, _NSRC_SHIFT, _OUT_FLOAT, _REC_HEAD,
+    _SRC_FLOAT, _SRC_GROUPS, _SRC_MEM, _SRC_PRODUCED, _TAKEN,
+)
 from repro.errors import ReproError
 from repro.isa.opcodes import Category
 
-# v2 record layout (mirrors repro.cpu.tracefile; kept in sync by
-# tests/core/test_kernel_parity.py round-trips).
-_REC_HEAD = struct.Struct("<IIBBbqI")
-_SRC_FMT = "BqIIQ"
-_SRC_GROUPS = [struct.Struct("<" + _SRC_FMT * n) for n in range(8)]
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-
-_HAS_OUT = 0x01
-_OUT_FLOAT = 0x02
-_HAS_TAKEN = 0x04
-_TAKEN = 0x08
-_HAS_TARGET = 0x10
-_NSRC_SHIFT = 5
-
-_SRC_MEM = 0x01
-_SRC_PRODUCED = 0x02
-_SRC_FLOAT = 0x04
-
 #: ``taken`` column encoding (``None`` is distinct from ``False``: a
 #: direction predictor can never be *correct* about an unknown
-#: direction, but it still trains towards not-taken).
+#: direction, but it still trains towards not-taken).  TAKEN_NONE is
+#: the simulator's own code for "not a branch".
 TAKEN_FALSE = 0
 TAKEN_TRUE = 1
-TAKEN_NONE = 2
 
 #: Categories whose output passes an input's predictability through.
 _PASS_CATS = (Category.LOAD, Category.STORE, Category.JUMP_REG)
 
 #: byte -> bool(byte) table, for nsrc -> has_src.
 _NONZERO = bytes(1 if v else 0 for v in range(256))
+#: byte -> byte // ARC_FIELDS: arc-row values appended -> operand count.
+_PER_ARC = bytes(v // ARC_FIELDS for v in range(256))
 
 
 class TraceColumns:
@@ -88,6 +84,8 @@ class TraceColumns:
         "has_src",       # bytearray 0/1
         "has_out",       # bytearray 0/1 (branches count as having one)
         "is_branch",     # bytearray 0/1
+        "target",        # list[int|None] (file encoding only); None
+                         # when decoded from v2, which drops it
         # --- arc columns (length src_start[-1]) ----------------------------
         "src_start",     # list[int], length n_records + 1
         "src_value",     # list[int|float]
@@ -118,6 +116,7 @@ class TraceColumns:
         self.passthrough = []
         self.taken = bytearray()
         self.nsrc = bytearray()
+        self.target = []
         self.src_start = [0]
         self.src_value = []
         self.src_prod = []
@@ -137,9 +136,69 @@ class TraceColumns:
     # ------------------------------------------------------------------
 
     @classmethod
+    def capture(cls, machine, budget: int | None = None) -> "TraceColumns":
+        """Run ``machine`` from its start (at most ``budget``
+        instructions, None = to halt) and adopt its
+        :class:`~repro.cpu.trace.TraceSink` rows: each primary column is
+        a stride slice of them, the derived arc keys come from C-level
+        ``map`` pipelines, so no Python code runs per record.  Equal,
+        slot by slot, to :meth:`from_records` over ``machine.trace()``.
+        """
+        sink = machine.capture(budget)
+        self = cls()
+        self.n_static = n = max(len(machine.program.instructions), 1)
+        self.ops = list(sink.ops)
+        rows = sink.rows
+        arcs = sink.arcs
+        self.pc = pcs = rows[0::ROW_FIELDS]
+        self.op_index = bytearray(rows[1::ROW_FIELDS])
+        self.out = rows[2::ROW_FIELDS]
+        self.passthrough = rows[3::ROW_FIELDS]
+        self.taken = bytearray(rows[4::ROW_FIELDS])
+        self.nsrc = nsrc = bytearray(rows[5::ROW_FIELDS]).translate(
+            _PER_ARC)
+        self.target = rows[6::ROW_FIELDS]
+        self.n_records = len(pcs)
+        self.src_value = arcs[0::ARC_FIELDS]
+        self.src_prod = prods = arcs[1::ARC_FIELDS]
+        self.src_ppc = ppcs = arcs[2::ARC_FIELDS]
+        self.src_mem = mems = bytearray(arcs[3::ARC_FIELDS])
+        self.src_loc = locs = arcs[4::ARC_FIELDS]
+        sink.clear()  # the machine may outlive the capture
+        self.src_start = starts = list(accumulate(nsrc, initial=0))
+        # Per arc: its consumer's pc and its operand slot.
+        arc_pc = list(chain.from_iterable(map(repeat, pcs, nsrc)))
+        slots = chain.from_iterable(map(range, nsrc))
+        self.in_key = list(map(or_, map(lshift, arc_pc, repeat(2)), slots))
+        # (producer * n + producer_pc) * n + pc for produced arcs ...
+        self.group_key = keys = list(map(
+            add,
+            map(mul, map(add, map(mul, prods, repeat(n)), ppcs), repeat(n)),
+            arc_pc,
+        ))
+        # ... patched for the (rare) D arcs, which key on the D node.
+        d_arcs = list(compress(range(len(prods)),
+                               map((-1).__eq__, prods)))
+        d_ids = self.d_ids
+        for a in d_arcs:
+            d_id = locs[a] if mems[a] else 0x2_0000_0000 + locs[a]
+            d_ids.append(d_id)
+            keys[a] = -(d_id * n + arc_pc[a]) - 1
+        # D arcs seen before each record: a run of 0s up to the record
+        # holding the first D arc, then 1s, ... (one int per run).
+        cuts = [0]
+        cuts += map(bisect_right, repeat(starts), d_arcs)
+        cuts.append(len(starts))
+        self.d_prefix = list(chain.from_iterable(map(
+            repeat, range(len(d_arcs) + 1), map(sub, cuts[1:], cuts))))
+        self._finish()
+        return self
+
+    @classmethod
     def from_records(cls, records, n_static: int,
                      limit: int | None = None) -> "TraceColumns":
-        """Build columns from an iterable of :class:`DynInst`."""
+        """Build columns from an iterable of :class:`DynInst` (the
+        reference oracle's form; a live run uses :meth:`capture`)."""
         self = cls()
         self.n_static = n = max(n_static, 1)
         if limit is not None:
@@ -152,6 +211,7 @@ class TraceColumns:
         pts = self.passthrough
         takens = self.taken
         nsrcs = self.nsrc
+        targets = self.target
         starts = self.src_start
         values = self.src_value
         prods = self.src_prod
@@ -186,6 +246,7 @@ class TraceColumns:
                 TAKEN_NONE if taken is None
                 else (TAKEN_TRUE if taken else TAKEN_FALSE)
             )
+            targets.append(dyn.target)
             srcs = dyn.srcs
             nsrcs.append(len(srcs))
             key_base = pc << 2
@@ -237,6 +298,7 @@ class TraceColumns:
         (:mod:`repro.core.shard`).
         """
         self = cls()
+        self.target = None
         self.n_static = n = max(header["n_static"], 1)
         self.ops = [
             (entry[0], Category(entry[1]), bool(entry[2]))
@@ -357,14 +419,12 @@ class TraceColumns:
         self.has_imm = bytearray(op_col.translate(imm_table))
         self.has_src = bytearray(bytes(self.nsrc).translate(_NONZERO))
         pass_cat = op_col.translate(pass_table)
-        out_none = bytes(
-            0 if value is not None else 1 for value in self.out
-        )
+        out_none = bytes(map(is_, self.out, repeat(None)))
         if m:
             ones = int.from_bytes(b"\x01" * m, "little")
             br_i = int.from_bytes(is_branch, "little")
             none_i = int.from_bytes(out_none, "little")
-            pt_none = bytes(1 if p < 0 else 0 for p in self.passthrough)
+            pt_none = bytes(map((0).__gt__, self.passthrough))
             ptn_i = int.from_bytes(pt_none, "little")
             pass_i = int.from_bytes(pass_cat, "little")
             # has_out: a branch, or any record carrying an out value.
@@ -383,7 +443,6 @@ class TraceColumns:
             ov_sel = b""
             pt_sel = b""
         rng = range(m)
-        from itertools import compress
         self.br_idx = list(compress(rng, is_branch))
         pcs = self.pc
         takens = self.taken
@@ -513,42 +572,17 @@ class TraceColumns:
 
         Used when a caller holding columns needs the reference engine
         (e.g. an ``auto`` fallback on a config the kernel does not
-        support).  ``target`` is not stored in the columns — the
-        analysis never reads it — so reconstructed records carry None.
+        support).  Columns decoded from a v2 file carry no ``target``
+        — the analysis never reads it — so their records hold None.
         """
-        records = []
-        append = records.append
         ops = self.ops
-        starts = self.src_start
-        values = self.src_value
-        prods = self.src_prod
-        ppcs = self.src_ppc
-        mems = self.src_mem
-        locs = self.src_loc
-        takens = self.taken
-        for r in range(self.n_records):
-            op, category, has_imm = ops[self.op_index[r]]
-            srcs = []
-            for a in range(starts[r], starts[r + 1]):
-                prod = prods[a]
-                if prod < 0:
-                    srcs.append(Source(values[a], None, None,
-                                       bool(mems[a]), locs[a]))
-                else:
-                    srcs.append(Source(values[a], prod, ppcs[a],
-                                       bool(mems[a]), locs[a]))
-            taken = takens[r]
-            passthrough = self.passthrough[r]
-            append(DynInst(
-                uid=r,
-                pc=self.pc[r],
-                op=op,
-                category=category,
-                has_imm=has_imm,
-                srcs=tuple(srcs),
-                out=self.out[r],
-                passthrough=None if passthrough < 0 else passthrough,
-                taken=None if taken == TAKEN_NONE else taken == TAKEN_TRUE,
-                target=None,
-            ))
-        return records
+        arcs = zip(self.src_value, self.src_prod, self.src_ppc,
+                   self.src_mem, self.src_loc)
+        return [
+            record_view(r, ops[op_index], pc, out, passthrough, taken,
+                        target, islice(arcs, n_srcs))
+            for r, (op_index, pc, out, passthrough, taken, n_srcs, target)
+            in enumerate(zip(self.op_index, self.pc, self.out,
+                             self.passthrough, self.taken, self.nsrc,
+                             self.target or repeat(None)))
+        ]

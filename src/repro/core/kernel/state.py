@@ -438,11 +438,6 @@ def run_branch_slice(kind: str, index_bits: int, state: dict, pcs,
         raise ValueError(f"unknown branch predictor kind: {kind!r}")
 
 
-def branch_state_for(kind: str) -> dict:
-    """Fresh branch state for ``kind`` (convenience wrapper)."""
-    return new_branch_state(kind)
-
-
 def value_state_for(spec: str) -> dict:
     """Fresh value state for a predictor spec string."""
     kind, __ = parse_predictor_spec(spec)

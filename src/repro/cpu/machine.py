@@ -1,11 +1,15 @@
 """The tracing functional simulator.
 
 :class:`Machine` interprets an assembled program and, in tracing mode,
-yields one :class:`DynInst` per executed instruction with full
-dependence information (which dynamic instruction produced each
-consumed value).  Execution is deterministic: running the same program
-on the same inputs twice produces identical traces, which the analysis
-relies on for its two-pass (profile, then analyse) structure.
+records every executed instruction with full dependence information
+(which dynamic instruction produced each consumed value) into its
+:class:`~repro.cpu.trace.TraceSink` as flat rows.
+:meth:`Machine.capture` keeps the rows for the columnar kernel and the
+trace file; :meth:`Machine.trace` turns each one into a
+:class:`~repro.cpu.trace.DynInst` view as it is executed.  Execution
+is deterministic: running the same program on the same inputs twice
+produces identical traces, which the analysis relies on for its
+two-pass (profile, then analyse) structure.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from repro.asm.program import Program
 from repro.cpu.alu import ALU_FUNCS, BRANCH_FUNCS
 from repro.obs import get_recorder
 from repro.cpu.memory import Memory
-from repro.cpu.trace import DynInst, Source
+from repro.cpu.trace import TAKEN_NONE, TraceSink
 from repro.errors import SimError
 from repro.isa.layout import (
     DATA_BASE,
@@ -35,7 +39,7 @@ from repro.isa.layout import (
 from repro.isa.opcodes import Category, opcode_spec
 from repro.isa.registers import REG_A0, REG_GP, REG_RA, REG_SP, REG_V0, fp_reg
 
-_NO_PRODUCER = (None, None)
+_NO_PRODUCER = (-1, 0)
 
 
 @dataclass(slots=True)
@@ -61,6 +65,8 @@ class _Decoded:
     target: int | None
     has_imm: bool
     func: object  # ALU or branch semantic function, or None
+    passthrough: int  # operand slot the output inherits, -1 = None
+    op_index: int = -1  # trace-sink op-table index, set on first use
 
 
 class Machine:
@@ -73,8 +79,9 @@ class Machine:
         input_floats: synthetic floating-point program input, loaded at
             :data:`INPUT_FLOAT_BASE` as ``D`` data.
         max_instructions: hard cap on executed instructions.
-        tracing: when True (default), :meth:`trace` yields
-            :class:`DynInst` records and producer maps are maintained.
+        tracing: when True (default), producer maps are maintained
+            and every executed instruction is recorded into
+            :attr:`sink` (read by :meth:`capture` and :meth:`trace`).
     """
 
     def __init__(
@@ -89,9 +96,10 @@ class Machine:
         self.max_instructions = max_instructions
         self.tracing = tracing
         self.regs: list[int | float] = [0] * 32 + [0.0] * 32
-        self.reg_prod: list[tuple[int | None, int | None]] = (
-            [_NO_PRODUCER] * 64
-        )
+        # Producer (uid, pc) of each register's value; -1 / 0 = D node.
+        self.reg_uid: list[int] = [-1] * 64
+        self.reg_ppc: list[int] = [0] * 64
+        self.sink = TraceSink()
         self.memory = Memory()
         self.pc = program.entry
         self.uid = 0
@@ -126,6 +134,13 @@ class Machine:
         has_imm = spec.uses_imm or reads_zero or (
             no_inputs and category in (Category.ALU, Category.CALL)
         )
+        # The operand slot the output inherits: a load's memory input
+        # and a store's data (none for a store of $zero) follow the
+        # base operand.
+        base = 1 if instr.src1 else 0
+        passthrough = {Category.LOAD: base, Category.JUMP_REG: 0,
+                       Category.STORE: base if instr.src2 else -1,
+                       }.get(category, -1)
         return _Decoded(
             op=instr.op,
             category=category,
@@ -136,6 +151,7 @@ class Machine:
             target=instr.target,
             has_imm=has_imm,
             func=func,
+            passthrough=passthrough,
         )
 
     def _load_data(self, program: Program) -> None:
@@ -162,41 +178,74 @@ class Machine:
     # ------------------------------------------------------------------
 
     def trace(self):
-        """Yield one :class:`DynInst` per executed instruction."""
+        """Yield one :class:`~repro.cpu.trace.DynInst` per executed
+        instruction.
+
+        Each record is a view built from the rows the step just wrote
+        to :attr:`sink`, which is emptied again, so a long trace is
+        streamed in constant memory.
+        """
         if not self.tracing:
             raise SimError("machine was created with tracing disabled")
-        limit = self.max_instructions
         started = self.uid
+        sink = self.sink
+        sink.clear()
         try:
-            while not self.halted:
-                if self.uid >= limit:
-                    raise SimError(
-                        f"instruction limit exceeded ({limit} instructions)"
-                    )
-                record = self.step()
-                if record is not None:
-                    yield record
+            for __ in self._stepping():
+                if sink.rows:
+                    yield sink.pop_view(self.uid - 1)
         finally:
             # Interpreter-loop accounting: fires once per consumed
             # trace, including truncated (islice'd) ones at close time.
-            recorder = get_recorder()
-            recorder.count("sim.instructions", self.uid - started)
-            recorder.count("sim.traces", 1)
+            self._count(started, "sim.traces")
+
+    def capture(self, budget: int | None = None) -> TraceSink:
+        """Execute from the start and keep every record: the sink.
+
+        Stops after ``budget`` instructions (None = run to halt) —
+        exactly the records ``islice(self.trace(), budget)`` yields,
+        with :attr:`halted` left as that leaves it.  Row ``r`` of the
+        returned sink is the instruction with uid ``r``.
+        """
+        if not self.tracing:
+            raise SimError("machine was created with tracing disabled")
+        if self.uid:
+            raise SimError("capture must start from a fresh machine")
+        try:
+            for __ in self._stepping(budget):
+                pass
+        finally:
+            self._count(0, "sim.traces")
+        return self.sink
 
     def run(self) -> MachineResult:
-        """Run to completion without yielding trace records."""
-        limit = self.max_instructions
+        """Run to completion without keeping trace records."""
         started = self.uid
+        for __ in self._stepping():
+            self.sink.clear()
+        self._count(started, "sim.runs")
+        return self.result()
+
+    def _stepping(self, budget: int | None = None):
+        """Step until halted, yielding after each step; stop quietly
+        after ``budget`` instructions, raise :class:`SimError` at
+        ``max_instructions``."""
+        limit = self.max_instructions
+        step = self.step
         while not self.halted:
+            if budget is not None and self.uid >= budget:
+                return
             if self.uid >= limit:
                 raise SimError(
                     f"instruction limit exceeded ({limit} instructions)"
                 )
-            self.step()
+            step()
+            yield
+
+    def _count(self, started: int, counter: str) -> None:
         recorder = get_recorder()
         recorder.count("sim.instructions", self.uid - started)
-        recorder.count("sim.runs", 1)
-        return self.result()
+        recorder.count(counter, 1)
 
     def result(self) -> MachineResult:
         """Summarise the run so far."""
@@ -212,12 +261,17 @@ class Machine:
         """Everything the program printed so far."""
         return "".join(self._out)
 
-    def step(self) -> DynInst | None:
-        """Execute one instruction; return its trace record if tracing."""
+    def step(self) -> None:
+        """Execute one instruction.
+
+        When tracing, append its record row and one arc row per
+        consumed operand to :attr:`sink` (layout in
+        :class:`~repro.cpu.trace.TraceSink`).
+        """
         pc = self.pc
         if pc == self._sentinel:
             self.halted = True
-            return None
+            return
         if not 0 <= pc < self._sentinel:
             raise SimError(f"program counter out of range: {pc}")
         ins = self._decoded[pc]
@@ -227,10 +281,13 @@ class Machine:
         category = ins.category
         regs = self.regs
         tracing = self.tracing
-        srcs: list[Source] = []
+        arcs = self.sink.arcs
+        arcs_before = len(arcs)
+        arc = arcs.extend
+        prod = self.reg_uid
+        ppc = self.reg_ppc
         out = None
-        passthrough = None
-        taken = None
+        taken = TAKEN_NONE
         target = ins.target
         next_pc = pc + 1
 
@@ -241,30 +298,30 @@ class Machine:
             if src1:
                 a = regs[src1]
                 if tracing:
-                    srcs.append(Source(a, *self.reg_prod[src1], False, src1))
-            if src2 is not None and src2:
+                    arc((a, prod[src1], ppc[src1], 0, src1))
+            if src2:
                 b = regs[src2]
                 if tracing:
-                    srcs.append(Source(b, *self.reg_prod[src2], False, src2))
+                    arc((b, prod[src2], ppc[src2], 0, src2))
             out = ins.func(a, b)
             dest = ins.dest
             if dest:
                 regs[dest] = out
-                if tracing:
-                    self.reg_prod[dest] = (uid, pc)
+                prod[dest] = uid
+                ppc[dest] = pc
         elif category is Category.LOAD:
-            out, passthrough = self._do_load(ins, uid, pc, srcs)
+            out = self._do_load(ins, uid, pc, arc)
         elif category is Category.STORE:
-            out, passthrough = self._do_store(ins, uid, pc, srcs)
+            out = self._do_store(ins, uid, pc, arc)
         elif category is Category.BRANCH:
             src1, src2 = ins.src1, ins.src2
             a = regs[src1] if src1 else 0
-            b = regs[src2] if src2 is not None and src2 else 0
+            b = regs[src2] if src2 else 0
             if tracing:
                 if src1:
-                    srcs.append(Source(a, *self.reg_prod[src1], False, src1))
-                if src2 is not None and src2:
-                    srcs.append(Source(b, *self.reg_prod[src2], False, src2))
+                    arc((a, prod[src1], ppc[src1], 0, src1))
+                if src2:
+                    arc((b, prod[src2], ppc[src2], 0, src2))
             taken = ins.func(a, b)
             if taken:
                 next_pc = ins.target
@@ -273,45 +330,37 @@ class Machine:
         elif category is Category.CALL:
             out = pc + 1
             regs[REG_RA] = out
-            if tracing:
-                self.reg_prod[REG_RA] = (uid, pc)
+            prod[REG_RA] = uid
+            ppc[REG_RA] = pc
             next_pc = ins.target
         elif category is Category.JUMP_REG:
             src1 = ins.src1
             tgt = regs[src1]
             if tracing:
-                srcs.append(Source(tgt, *self.reg_prod[src1], False, src1))
+                arc((tgt, prod[src1], ppc[src1], 0, src1))
             if not 0 <= tgt <= self._sentinel:
                 raise SimError(f"indirect jump to bad target: {tgt}")
             out = tgt
-            passthrough = 0
             target = tgt
             if ins.dest is not None:  # jalr
                 regs[REG_RA] = pc + 1
-                if tracing:
-                    self.reg_prod[REG_RA] = (uid, pc)
+                prod[REG_RA] = uid
+                ppc[REG_RA] = pc
             next_pc = tgt
         elif category is Category.SYSCALL:
-            self._do_syscall(ins, srcs)
+            self._do_syscall(ins, arc)
         # Category.NOP: nothing to do.
 
         self.pc = next_pc
-        if not tracing:
-            return None
-        return DynInst(
-            uid=uid,
-            pc=pc,
-            op=ins.op,
-            category=category,
-            has_imm=ins.has_imm,
-            srcs=tuple(srcs),
-            out=out,
-            passthrough=passthrough,
-            taken=taken,
-            target=target,
-        )
+        if tracing:
+            op_index = ins.op_index
+            if op_index < 0:
+                op_index = ins.op_index = self.sink.op_index(
+                    (ins.op, category, ins.has_imm))
+            self.sink.rows.extend((pc, op_index, out, ins.passthrough,
+                                   taken, len(arcs) - arcs_before, target))
 
-    def _do_load(self, ins, uid, pc, srcs):
+    def _do_load(self, ins, uid, pc, arc):
         regs = self.regs
         memory = self.memory
         src1 = ins.src1
@@ -319,7 +368,7 @@ class Machine:
         addr = (base + ins.imm) & WORD_MASK
         tracing = self.tracing
         if tracing and src1:
-            srcs.append(Source(base, *self.reg_prod[src1], False, src1))
+            arc((base, self.reg_uid[src1], self.reg_ppc[src1], 0, src1))
         op = ins.op
         if op == "lw":
             value = memory.read_word(addr)
@@ -342,17 +391,15 @@ class Machine:
                 producer = memory.float_producer(addr)
             else:
                 producer = memory.producer(addr)
-            srcs.append(
-                Source(value, *(producer or _NO_PRODUCER), True, addr)
-            )
+            arc((value, *(producer or _NO_PRODUCER), 1, addr))
         dest = ins.dest
         if dest:
             regs[dest] = value
-            if tracing:
-                self.reg_prod[dest] = (uid, pc)
-        return value, len(srcs) - 1 if tracing else None
+            self.reg_uid[dest] = uid
+            self.reg_ppc[dest] = pc
+        return value
 
-    def _do_store(self, ins, uid, pc, srcs):
+    def _do_store(self, ins, uid, pc, arc):
         regs = self.regs
         memory = self.memory
         src1, src2 = ins.src1, ins.src2
@@ -360,12 +407,10 @@ class Machine:
         addr = (base + ins.imm) & WORD_MASK
         tracing = self.tracing
         if tracing and src1:
-            srcs.append(Source(base, *self.reg_prod[src1], False, src1))
+            arc((base, self.reg_uid[src1], self.reg_ppc[src1], 0, src1))
         data = regs[src2] if src2 else (0.0 if ins.op == "s.d" else 0)
-        passthrough = None
         if tracing and src2:
-            passthrough = len(srcs)
-            srcs.append(Source(data, *self.reg_prod[src2], False, src2))
+            arc((data, self.reg_uid[src2], self.reg_ppc[src2], 0, src2))
         op = ins.op
         if op == "sw":
             memory.write_word(addr, data)
@@ -384,37 +429,37 @@ class Machine:
                 memory.set_float_producer(addr, uid, pc)
             else:
                 memory.set_producer(addr, uid, pc)
-        return out, passthrough
+        return out
 
-    def _do_syscall(self, ins, srcs) -> None:
+    def _do_syscall(self, ins, arc) -> None:
         if ins.op == "halt":
             self.halted = True
             return
         regs = self.regs
         tracing = self.tracing
+        prod = self.reg_uid
+        ppc = self.reg_ppc
         code = regs[REG_V0]
         if tracing:
-            srcs.append(Source(code, *self.reg_prod[REG_V0], False, REG_V0))
-        if code == SYS_PRINT_INT:
-            if tracing:
-                srcs.append(Source(regs[REG_A0], *self.reg_prod[REG_A0], False, REG_A0))
-            self._out.append(str(to_signed(regs[REG_A0])))
-        elif code == SYS_PRINT_CHAR:
-            if tracing:
-                srcs.append(Source(regs[REG_A0], *self.reg_prod[REG_A0], False, REG_A0))
-            self._out.append(chr(regs[REG_A0] & 0xFF))
-        elif code == SYS_PRINT_FLOAT:
-            f12 = fp_reg(12)
-            if tracing:
-                srcs.append(Source(regs[f12], *self.reg_prod[f12], False, f12))
-            self._out.append(f"{regs[f12]:g}")
-        elif code == SYS_EXIT:
-            if tracing:
-                srcs.append(Source(regs[REG_A0], *self.reg_prod[REG_A0], False, REG_A0))
-            self.exit_code = to_signed(regs[REG_A0])
-            self.halted = True
+            arc((code, prod[REG_V0], ppc[REG_V0], 0, REG_V0))
+        if code == SYS_PRINT_FLOAT:
+            arg = fp_reg(12)
+        elif code in (SYS_PRINT_INT, SYS_PRINT_CHAR, SYS_EXIT):
+            arg = REG_A0
         else:
             raise SimError(f"unknown syscall code: {code}")
+        value = regs[arg]
+        if tracing:
+            arc((value, prod[arg], ppc[arg], 0, arg))
+        if code == SYS_PRINT_INT:
+            self._out.append(str(to_signed(value)))
+        elif code == SYS_PRINT_CHAR:
+            self._out.append(chr(value & 0xFF))
+        elif code == SYS_PRINT_FLOAT:
+            self._out.append(f"{value:g}")
+        else:  # SYS_EXIT
+            self.exit_code = to_signed(value)
+            self.halted = True
 
 
 def run_program(

@@ -1,10 +1,15 @@
 """Dynamic-trace records emitted by the simulator.
 
-A :class:`DynInst` is a node of the dynamic prediction graph; its
-:class:`Source` entries are the in-arcs.  Reads of the hard-wired zero
-register and instruction immediates are *not* sources — following the
-paper, they are part of the instruction and show up only through the
-``has_imm`` flag.
+The simulator appends what it executes to a :class:`TraceSink` as flat
+rows, which the columnar kernel adopts as its columns
+(:meth:`repro.core.kernel.TraceColumns.capture`).  A :class:`DynInst`
+is a per-record *view* of a row (:meth:`repro.cpu.Machine.trace`), for
+the reference analyzer, the DPG builder and the examples.  It is a
+node of the dynamic prediction graph; its :class:`Source` entries are
+the in-arcs.  Reads
+of the hard-wired zero register and instruction immediates are *not*
+sources — following the paper, they are part of the instruction and
+show up only through the ``has_imm`` flag.
 """
 
 from __future__ import annotations
@@ -84,6 +89,78 @@ class DynInst:
         """True for conditional branches."""
         return self.category is Category.BRANCH
 
-    def has_output(self) -> bool:
-        """True when the node produces a value the model can predict."""
-        return self.out is not None and self.category is not Category.BRANCH
+
+#: ``taken`` code of a record that is not a conditional branch (a
+#: branch stores its direction as a bool, i.e. 0 or 1).
+TAKEN_NONE = 2
+
+#: Fields per record row: pc, op-table index, out, passthrough (-1 =
+#: None), taken (bool or :data:`TAKEN_NONE`), number of arc-row values
+#: the record appended (:data:`ARC_FIELDS` per operand), target (None
+#: when absent).
+ROW_FIELDS = 7
+#: Fields per arc row: value, producer uid (-1 = ``D`` node), producer
+#: pc (0 for ``D``), is_mem (0/1), loc.
+ARC_FIELDS = 5
+
+
+class TraceSink:
+    """Flat rows a tracing :class:`~repro.cpu.Machine` appends to.
+
+    ``rows`` holds :data:`ROW_FIELDS` values per executed instruction,
+    ``arcs`` :data:`ARC_FIELDS` values per consumed operand, in operand
+    order.  ``ops`` is the opcode table — distinct ``(op, category,
+    has_imm)`` triples in first-executed order — that record rows index.
+    Column ``i`` of the rows is ``rows[i::ROW_FIELDS]``, so building
+    columns is a stride slice per column, not a walk over records.
+    """
+
+    __slots__ = ("rows", "arcs", "ops", "_op_ids")
+
+    def __init__(self):
+        self.rows: list = []
+        self.arcs: list = []
+        self.ops: list[tuple[str, Category, bool]] = []
+        self._op_ids: dict[tuple, int] = {}
+
+    def op_index(self, entry: tuple[str, Category, bool]) -> int:
+        """The op-table index of ``entry``, appending it on first use."""
+        index = self._op_ids.get(entry)
+        if index is None:
+            index = self._op_ids[entry] = len(self.ops)
+            self.ops.append(entry)
+        return index
+
+    def clear(self) -> None:
+        """Drop the buffered rows (the op table stays)."""
+        self.rows.clear()
+        self.arcs.clear()
+
+    def pop_view(self, uid: int) -> DynInst:
+        """The one buffered record, with stream position ``uid``, as a
+        :class:`DynInst`; the buffer is emptied."""
+        rows = self.rows
+        arcs = self.arcs
+        pc, op_index, out, passthrough, taken, __, target = rows
+        view = record_view(uid, self.ops[op_index], pc, out, passthrough,
+                           taken, target, zip(*[iter(arcs)] * ARC_FIELDS))
+        rows.clear()
+        arcs.clear()
+        return view
+
+
+def record_view(uid: int, op_entry: tuple, pc: int, out, passthrough: int,
+                taken, target, arcs) -> DynInst:
+    """One record as a :class:`DynInst`, from row fields in the
+    :class:`TraceSink` encoding (``op_entry`` from the op table, ``arcs``
+    yielding arc rows) — for :meth:`TraceSink.pop_view` and
+    :meth:`repro.core.kernel.TraceColumns.to_records`."""
+    op, category, has_imm = op_entry
+    srcs = tuple([
+        Source(value, None, None, bool(is_mem), loc) if producer < 0
+        else Source(value, producer, producer_pc, bool(is_mem), loc)
+        for value, producer, producer_pc, is_mem, loc in arcs
+    ])
+    return DynInst(uid, pc, op, category, has_imm, srcs, out,
+                   None if passthrough < 0 else passthrough,
+                   None if taken == TAKEN_NONE else bool(taken), target)

@@ -22,8 +22,12 @@ the format is a compact binary one:
 Integers travel as signed 64-bit fields and floats as IEEE doubles,
 so values survive the round trip exactly *including their type* —
 predictors compare values exactly and ``5 != 5.0`` for a last-value
-hit streak.  The legacy JSON-lines v1 format is still read
-transparently; writing always produces v2.
+hit streak.
+
+The file is packed from the kernel's columns — what the simulator
+captured (:meth:`repro.core.kernel.TraceColumns.capture`) — and read
+back into columns (:func:`read_trace_columns`, the replay path) or
+into :class:`DynInst` views of them (:func:`read_trace`).
 """
 
 from __future__ import annotations
@@ -32,18 +36,15 @@ import gzip
 import json
 import os
 import struct
+from collections import Counter
 from pathlib import Path
 
-from repro.cpu.trace import DynInst, Source
+from repro.cpu.trace import DynInst
 from repro.errors import ReproError
 from repro.obs import get_recorder
-from repro.isa.opcodes import Category
 
 #: Format identifier of the binary format written by :func:`save_trace`.
 FORMAT = "repro-trace-v2"
-
-#: Format identifier of the legacy JSON-lines format (read-only).
-FORMAT_V1 = "repro-trace-v1"
 
 #: Leading magic of a v2 payload (inside the gzip frame).
 MAGIC = b"RPRT2BIN"
@@ -56,6 +57,8 @@ _REC_HEAD = struct.Struct("<IIBBbqI")
 # (producer fields are 0 when the produced flag is clear).
 _SRC_FMT = "BqIIQ"
 _SRC_GROUPS = [struct.Struct("<" + _SRC_FMT * n) for n in range(8)]
+# A whole record: head plus its n source groups (no padding with "<").
+_RECORDS = [struct.Struct(_REC_HEAD.format + _SRC_FMT * n) for n in range(8)]
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
@@ -87,344 +90,222 @@ def _open_read(path):
 
 def save_trace(trace, path, n_static: int, complete: bool | None = None,
                workload: str | None = None) -> int:
-    """Write ``trace`` (an iterable of :class:`DynInst`) to ``path``.
+    """Write ``trace`` to ``path``; returns the number of records.
 
-    ``complete`` records whether the iterable covered the workload's
-    whole execution (None = unknown); the trace store uses it to decide
-    replay eligibility.  ``workload`` annotates the header with the
-    originating workload name (purely informational — it is not part
-    of the content address; ``cache info`` uses it to break occupancy
-    out fixed-vs-generated).  Returns the number of records written.
+    ``trace`` is a :class:`~repro.core.kernel.TraceColumns` captured
+    from a machine (:meth:`~repro.core.kernel.TraceColumns.capture`,
+    the runner's path — packed with no per-record objects) or an
+    iterable of :class:`DynInst` (laid out as columns first, keeping
+    each record's ``uid``).  ``complete`` records whether the trace
+    covered the workload's whole execution (None = unknown); the trace
+    store uses it to decide replay eligibility.  ``workload`` annotates
+    the header with the originating workload name (purely
+    informational — it is not part of the content address; ``cache
+    info`` uses it to break occupancy out fixed-vs-generated).
     """
+    from repro.core.kernel import TraceColumns
+
     recorder = get_recorder()
     with recorder.span("trace.encode"):
-        return _save_trace(trace, path, n_static, complete, workload,
-                           recorder)
+        if isinstance(trace, TraceColumns):
+            columns, uids = trace, range(trace.n_records)
+        else:
+            records = list(trace)
+            columns = TraceColumns.from_records(records, n_static)
+            uids = [dyn.uid for dyn in records]
+        return _save_columns(columns, uids, path, n_static, complete,
+                             workload, recorder)
 
 
-def _save_trace(trace, path, n_static: int, complete, workload,
-                recorder) -> int:
+# Record-head flags of each ``taken`` column code (False, True, None).
+_TAKEN_FLAGS = (_HAS_TAKEN, _HAS_TAKEN | _TAKEN, 0)
+
+
+def _save_columns(columns, uids, path, n_static: int, complete, workload,
+                  recorder) -> int:
+    if columns.target is None:
+        raise ReproError("columns decoded from a trace file carry no "
+                         "branch targets; save the captured columns")
+    if columns.nsrc and max(columns.nsrc) > 7:
+        raise ReproError(
+            f"cannot encode {max(columns.nsrc)} sources (record flag "
+            "budget is 7)"
+        )
+    if len(columns.ops) > 0x100:
+        raise ReproError("opcode table overflow (more than 256 "
+                         "distinct opcode/category combinations)")
     counts = [0] * max(n_static, 1)
-    # Distinct (op, category value, has_imm) triples; records index it.
-    op_table: dict[tuple[str, int, int], int] = {}
-    pack_head = _REC_HEAD.pack
+    for pc, count in Counter(columns.pc).items():
+        if pc < len(counts):
+            counts[pc] = count
     pack_f64 = _F64.pack
     unpack_i64 = _I64.unpack
+    # v2 source groups, flattened: flags, value bits, producer,
+    # producer_pc, loc (producer fields are 0 for a D node).
+    arcs = []
+    for value, producer, producer_pc, is_mem, loc in zip(
+            columns.src_value, columns.src_prod, columns.src_ppc,
+            columns.src_mem, columns.src_loc):
+        flags = _SRC_MEM if is_mem else 0
+        if isinstance(value, float):
+            flags |= _SRC_FLOAT
+            (value,) = unpack_i64(pack_f64(value))
+        if producer < 0:
+            arcs += (flags, value, 0, 0, loc)
+        else:
+            arcs += (flags | _SRC_PRODUCED, value, producer, producer_pc,
+                     loc)
+    # Per record: its head and source groups in one pack call.
+    records = _RECORDS
     body = bytearray()
-    count = 0
-    for dyn in trace:
-        pc = dyn.pc
-        srcs = dyn.srcs
-        n_srcs = len(srcs)
-        if n_srcs > 7:
-            raise ReproError(
-                f"cannot encode {n_srcs} sources (record flag budget is 7)"
-            )
-        if pc < len(counts):
-            counts[pc] += 1
-        entry = (dyn.op, int(dyn.category), 1 if dyn.has_imm else 0)
-        op_index = op_table.setdefault(entry, len(op_table))
-        if op_index > 0xFF:
-            raise ReproError("opcode table overflow (more than 256 "
-                             "distinct opcode/category combinations)")
-        flags = n_srcs << _NSRC_SHIFT
-        out = dyn.out
+    end = 0
+    for uid, pc, op_index, out, passthrough, taken, n_srcs, target in zip(
+            uids, columns.pc, columns.op_index, columns.out,
+            columns.passthrough, columns.taken, columns.nsrc,
+            columns.target):
+        flags = n_srcs << _NSRC_SHIFT | _TAKEN_FLAGS[taken]
         if out is None:
-            out_bits = 0
+            out = 0
         elif isinstance(out, float):
             flags |= _HAS_OUT | _OUT_FLOAT
-            (out_bits,) = unpack_i64(pack_f64(out))
+            (out,) = unpack_i64(pack_f64(out))
         else:
             flags |= _HAS_OUT
-            out_bits = out
-        if dyn.taken is not None:
-            flags |= _HAS_TAKEN
-            if dyn.taken:
-                flags |= _TAKEN
-        target = dyn.target
         if target is None:
             target = 0
         else:
             flags |= _HAS_TARGET
-        passthrough = -1 if dyn.passthrough is None else dyn.passthrough
-        body += pack_head(dyn.uid, pc, flags, op_index, passthrough,
-                          out_bits, target)
-        if n_srcs:
-            fields = []
-            for src in srcs:
-                src_flags = 0
-                if src.is_mem:
-                    src_flags |= _SRC_MEM
-                value = src.value
-                if isinstance(value, float):
-                    src_flags |= _SRC_FLOAT
-                    (value,) = unpack_i64(pack_f64(value))
-                if src.producer is not None:
-                    src_flags |= _SRC_PRODUCED
-                    fields += (src_flags, value, src.producer,
-                               src.producer_pc, src.loc)
-                else:
-                    fields += (src_flags, value, 0, 0, src.loc)
-            body += _SRC_GROUPS[n_srcs].pack(*fields)
-        count += 1
+        start = end
+        end += 5 * n_srcs
+        body += records[n_srcs].pack(uid, pc, flags, op_index, passthrough,
+                                     out, target, *arcs[start:end])
     header = json.dumps({
         "format": FORMAT,
         "n_static": n_static,
-        "n_records": count,
+        "n_records": columns.n_records,
         "complete": complete,
         "workload": workload,
         "counts": counts,
-        "ops": [list(entry) for entry in op_table],
+        "ops": [[op, int(category), 1 if has_imm else 0]
+                for op, category, has_imm in columns.ops],
     }).encode()
     with gzip.open(path, "wb", compresslevel=1) as handle:
         handle.write(MAGIC)
         handle.write(_U32.pack(len(header)))
         handle.write(header)
-        handle.write(bytes(body))
-    recorder.count("trace.encode.records", count)
+        handle.write(body)
+    recorder.count("trace.encode.records", columns.n_records)
     recorder.count("trace.encode.bytes", len(body) + len(header))
     try:
         recorder.count("trace.encode.file_bytes", os.stat(path).st_size)
     except (OSError, TypeError):
         pass
-    return count
+    return columns.n_records
 
 
 def _read_header(handle, path) -> dict:
-    lead = handle.read(len(MAGIC))
-    if lead == MAGIC:
-        (length,) = _U32.unpack(handle.read(4))
-        try:
-            header = json.loads(handle.read(length))
-        except ValueError as error:
-            raise ReproError(f"corrupt {FORMAT} header: {path}") from error
-        if header.get("format") != FORMAT:
-            raise ReproError(f"not a {FORMAT} file: {path}")
-        return header
-    # Legacy v1: a JSON header line followed by JSON-lines records.
-    line = lead + _read_line(handle)
-    try:
-        header = json.loads(line)
-    except ValueError as error:
-        raise ReproError(f"not a repro-trace file: {path}") from error
-    if header.get("format") != FORMAT_V1:
+    if handle.read(len(MAGIC)) != MAGIC:
         raise ReproError(f"not a repro-trace file: {path}")
+    (length,) = _U32.unpack(handle.read(4))
+    try:
+        header = json.loads(handle.read(length))
+    except ValueError as error:
+        raise ReproError(f"corrupt {FORMAT} header: {path}") from error
+    if header.get("format") != FORMAT:
+        raise ReproError(f"not a {FORMAT} file: {path}")
     return header
 
 
-def _read_line(handle) -> bytes:
-    chunks = bytearray()
-    while True:
-        byte = handle.read(1)
-        if not byte or byte == b"\n":
-            return bytes(chunks)
-        chunks += byte
-
-
 def trace_header(path) -> dict:
-    """Read and validate the header of a trace file (either version)."""
+    """Read and validate the header of a trace file."""
     with _open_read(path) as handle:
         return _read_header(handle, path)
+
+
+def read_trace_raw(path) -> tuple[dict, bytes]:
+    """Read a trace's header and **undecoded** record body.
+
+    The segment-parallel path (:mod:`repro.core.shard`) un-gzips once
+    in the parent and lets each worker decode only its own byte range
+    — decode is the dominant serial cost, so it must happen in the
+    workers.
+    """
+    with _open_read(path) as handle:
+        return _read_rest(handle, path)
+
+
+def _read_rest(handle, path) -> tuple[dict, bytes]:
+    header = _read_header(handle, path)
+    try:
+        body = handle.read()
+    except (OSError, EOFError) as error:
+        raise ReproError(f"truncated trace file: {path}") from error
+    get_recorder().count("trace.decode.bytes", len(body))
+    return header, body
 
 
 def load_trace(path):
     """Yield the :class:`DynInst` records stored in ``path``.
 
-    Reads both the binary v2 format and legacy v1 JSON-lines files.
     Decode errors raise :class:`ReproError` — callers holding a cache
-    treat that as a miss.  For the replay hot path prefer
-    :func:`read_trace`, which returns the fully-decoded list.
+    treat that as a miss.
     """
-    with _open_read(path) as handle:
-        header = _read_header(handle, path)
-        if header["format"] == FORMAT_V1:
-            yield from _iter_v1(handle)
-            return
-        records = _decode_v2(handle, header, path)
-    yield from records
+    yield from read_trace(path)[1]
 
 
 def read_trace(path) -> tuple[dict, list[DynInst]]:
-    """Decode a whole trace file at once: ``(header, records)``.
+    """Decode a whole trace file into records: ``(header, records)``.
 
-    The replay fast path: one tight decode loop, no generator overhead.
+    The v2 body is decoded once, into columns; the records are their
+    :class:`DynInst` views with each record's stored ``uid`` and
+    ``target`` (which the columns drop) read back from its head.
     """
-    with _open_read(path) as handle:
-        header = _read_header(handle, path)
-        if header["format"] == FORMAT_V1:
-            return header, list(_iter_v1(handle))
-        return header, _decode_v2(handle, header, path)
+    from repro.core.kernel import TraceColumns
 
-
-def _iter_v1(handle):
-    for line in handle:
-        (uid, pc, op, category, has_imm, srcs, out, passthrough,
-         taken, target) = json.loads(line)
-        yield DynInst(
-            uid=uid,
-            pc=pc,
-            op=op,
-            category=Category(category),
-            has_imm=bool(has_imm),
-            srcs=tuple(Source(*src) for src in srcs),
-            out=out,
-            passthrough=passthrough,
-            taken=taken,
-            target=target,
-        )
-
-
-def _decode_v2(handle, header, path) -> list[DynInst]:
     recorder = get_recorder()
-    with recorder.span("trace.decode"):
-        records = _decode_v2_body(handle, header, path)
+    # Opened before the span: a missing file decodes nothing.
+    with _open_read(path) as handle, recorder.span("trace.decode"):
+        header, body = _read_rest(handle, path)
+        columns = TraceColumns.from_v2(body, header, path=path)
+        records = columns.to_records()
+        pos = 0
+        for dyn, n_srcs in zip(records, columns.nsrc):
+            uid, __, flags, __, __, __, target = \
+                _REC_HEAD.unpack_from(body, pos)
+            dyn.uid = uid
+            if flags & _HAS_TARGET:
+                dyn.target = target
+            pos += 23 + 25 * n_srcs
     recorder.count("trace.decode.records", len(records))
-    return records
-
-
-def _decode_v2_body(handle, header, path) -> list[DynInst]:
-    try:
-        buf = handle.read()
-    except (OSError, EOFError) as error:
-        raise ReproError(f"truncated trace file: {path}") from error
-    get_recorder().count("trace.decode.bytes", len(buf))
-    ops = [
-        (entry[0], Category(entry[1]), bool(entry[2]))
-        for entry in header["ops"]
-    ]
-    n_records = header["n_records"]
-    rec_head = _REC_HEAD.unpack_from
-    src_groups = _SRC_GROUPS
-    pack_i64 = _I64.pack
-    unpack_f64 = _F64.unpack
-    dyn_inst = DynInst
-    source = Source
-    records = []
-    append = records.append
-    pos = 0
-    try:
-        for _ in range(n_records):
-            uid, pc, flags, op_index, passthrough, out_bits, target = \
-                rec_head(buf, pos)
-            pos += 23
-            if flags & _HAS_OUT:
-                if flags & _OUT_FLOAT:
-                    (out,) = unpack_f64(pack_i64(out_bits))
-                else:
-                    out = out_bits
-            else:
-                out = None
-            n_srcs = flags >> _NSRC_SHIFT
-            if n_srcs:
-                fields = src_groups[n_srcs].unpack_from(buf, pos)
-                pos += 25 * n_srcs
-                srcs = []
-                for base in range(0, 5 * n_srcs, 5):
-                    src_flags = fields[base]
-                    value = fields[base + 1]
-                    if src_flags & _SRC_FLOAT:
-                        (value,) = unpack_f64(pack_i64(value))
-                    if src_flags & _SRC_PRODUCED:
-                        srcs.append(source(
-                            value, fields[base + 2], fields[base + 3],
-                            bool(src_flags & _SRC_MEM), fields[base + 4],
-                        ))
-                    else:
-                        srcs.append(source(
-                            value, None, None,
-                            bool(src_flags & _SRC_MEM), fields[base + 4],
-                        ))
-                srcs = tuple(srcs)
-            else:
-                srcs = ()
-            op, category, has_imm = ops[op_index]
-            append(dyn_inst(
-                uid, pc, op, category, has_imm, srcs,
-                out,
-                None if passthrough < 0 else passthrough,
-                bool(flags & _TAKEN) if flags & _HAS_TAKEN else None,
-                target if flags & _HAS_TARGET else None,
-            ))
-    except (struct.error, IndexError, TypeError) as error:
-        raise ReproError(f"truncated trace file: {path}") from error
-    return records
+    return header, records
 
 
 def read_trace_columns(path):
     """Decode a whole trace file into columns: ``(header, columns)``.
 
-    The columnar engine's replay fast path: the v2 byte stream is
-    parsed straight into :class:`~repro.core.kernel.TraceColumns` flat
-    arrays without materialising a ``DynInst`` per record.  Legacy v1
-    files decode through :func:`read_trace` first and are re-packed.
-    Decode errors raise :class:`ReproError`, same as :func:`read_trace`.
+    The replay fast path: the v2 byte stream is parsed straight into
+    :class:`~repro.core.kernel.TraceColumns` flat arrays without
+    materialising a ``DynInst`` per record.  Decode errors raise
+    :class:`ReproError`, same as :func:`read_trace`.
     """
     from repro.core.kernel import TraceColumns
 
     recorder = get_recorder()
-    with _open_read(path) as handle:
-        header = _read_header(handle, path)
-        if header["format"] == FORMAT_V1:
-            columns = TraceColumns.from_records(
-                _iter_v1(handle), header["n_static"]
-            )
-            recorder.count("trace.decode.records", columns.n_records)
-            recorder.count("trace.decode.columnar", 1)
-            return header, columns
-        with recorder.span("trace.decode"):
-            try:
-                buf = handle.read()
-            except (OSError, EOFError) as error:
-                raise ReproError(
-                    f"truncated trace file: {path}"
-                ) from error
-            recorder.count("trace.decode.bytes", len(buf))
-            columns = TraceColumns.from_v2(buf, header, path=path)
+    with _open_read(path) as handle, recorder.span("trace.decode"):
+        header, body = _read_rest(handle, path)
+        columns = TraceColumns.from_v2(body, header, path=path)
     recorder.count("trace.decode.records", columns.n_records)
     recorder.count("trace.decode.columnar", 1)
     return header, columns
 
 
-def read_trace_raw(path) -> tuple[dict, bytes]:
-    """Read a v2 trace's header and **undecoded** body bytes.
-
-    The segment-parallel path (:mod:`repro.core.shard`) un-gzips once
-    in the parent and lets each worker decode only its own byte range
-    — decode is the dominant serial cost, so it must happen in the
-    workers.  v1 files have no fixed-width body; callers fall back to
-    the serial columnar path for them (:class:`ReproError` here).
-    """
-    recorder = get_recorder()
-    with _open_read(path) as handle:
-        header = _read_header(handle, path)
-        if header["format"] == FORMAT_V1:
-            raise ReproError(
-                f"v1 trace has no byte-addressable body: {path}")
-        try:
-            body = handle.read()
-        except (OSError, EOFError) as error:
-            raise ReproError(f"truncated trace file: {path}") from error
-    recorder.count("trace.decode.bytes", len(body))
-    return header, body
-
-
-def analyze_trace_file(path, name=None, config=None, profile_counts=None,
-                       stored_profile: bool = False):
-    """Analyse a saved trace end to end.
-
-    ``stored_profile=True`` feeds the trace's recorded per-PC execution
-    counts to the analyzer as profile counts, so write-once generates
-    classify exactly without the separate profiling pass a live
-    two-pass run needs.  (The default keeps the single-pass
-    count-so-far approximation, matching direct simulation.)
-    """
+def analyze_trace_file(path, name=None, config=None, profile_counts=None):
+    """Analyse a saved trace end to end (decoded straight to columns)."""
     from repro.core.analysis import analyze_trace
 
-    header = trace_header(path)
-    if stored_profile and profile_counts is None:
-        profile_counts = header.get("counts")
+    header, columns = read_trace_columns(path)
     return analyze_trace(
-        load_trace(path),
+        columns,
         header["n_static"],
         name=name or Path(path).stem,
         config=config,

@@ -23,19 +23,6 @@ from repro.predictors.base import ValuePredictor
 _EMPTY = object()
 
 
-def fold_value(value, mask: int = 0xFFFFF) -> int:
-    """Hash a produced value into the signature width.
-
-    The rolling signature shifts left by :attr:`ContextPredictor.HASH_BITS`
-    per value and XORs in this full-width fold, so a value's influence
-    decays out of the context after ``l2_bits / HASH_BITS`` steps —
-    an order-4 hashed FCM for the default sizes, per the paper's
-    companion TR (ECE-TR-97-8).
-    """
-    raw = hash(value)
-    return (raw ^ (raw >> 20) ^ (raw >> 40)) & mask
-
-
 class ContextPredictor(ValuePredictor):
     """Order-4 hashed finite-context-method predictor."""
 
@@ -83,6 +70,9 @@ class ContextPredictor(ValuePredictor):
         else:
             values[context] = value
             counters[context] = min(1, self.hysteresis)
+        # Fold the full-width hash into the signature; shifting by
+        # _hash_bits per value decays it out after ``order`` values
+        # (an order-4 hashed FCM by default, per ECE-TR-97-8).
         raw = hash(value)
         l2_mask = self._l2_mask
         folded = (raw ^ (raw >> 20) ^ (raw >> 40)) & l2_mask

@@ -43,7 +43,6 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 
 from repro.core import analyze_machine, analyze_many, analyze_trace
 from repro.core.export import result_from_dict, result_to_dict
@@ -181,21 +180,19 @@ def _analyze(name: str, config: ExperimentConfig, engine=None):
 
 
 def _capture(name: str, config: ExperimentConfig, budget: int | None):
-    """Simulate and record: ``(n_static, records, complete)``.
+    """Simulate and record: ``(n_static, columns, complete)``.
 
-    ``budget`` bounds how much of the execution is captured (None =
-    run to halt); ``complete`` reports whether the machine halted
-    within it.
+    The simulator writes straight into the kernel's
+    :class:`~repro.core.kernel.TraceColumns` layout — the one form the
+    trace file is packed from and the analysis reads.  ``budget``
+    bounds how much of the execution is captured (None = run to halt);
+    ``complete`` reports whether the machine halted within it.
     """
     workload = get_workload(name)
     machine = workload.machine(scale=config.scale)
     with get_recorder().span("simulate"):
-        stream = machine.trace()
-        if budget is not None:
-            stream = islice(stream, budget)
-        records = list(stream)
-        del stream  # close the generator: flush its sim.* counters
-    return len(machine.program.instructions), records, machine.halted
+        columns = TraceColumns.capture(machine, budget)
+    return len(machine.program.instructions), columns, machine.halted
 
 
 def _maybe_write_segindex(trace_store: TraceStore, key: str, columns,
@@ -267,59 +264,48 @@ def _try_segmented(name: str, analysis_config, config: ExperimentConfig,
 
 def _resolve_trace(name: str, config: ExperimentConfig,
                    trace_store: TraceStore | None, budget: int | None,
-                   columns: bool = False,
                    policy: ExecutionPolicy | None = None):
-    """Trace tier: ``(n_static, records, status)`` — replay or capture.
+    """Trace tier: ``(n_static, trace, status)`` — replay or capture.
 
     A stored trace that covers ``budget`` is replayed
     (:data:`STATUS_REPLAYED`); otherwise the workload is simulated,
     the capture written through the store for the next config, and
-    :data:`STATUS_COMPUTED` reported.  ``columns=True`` replays the
-    stored trace as :class:`~repro.core.kernel.TraceColumns` (the
-    columnar engine's format) instead of a ``DynInst`` list, so a warm
-    replay skips per-record object construction entirely; a cold
-    capture persists the records first, then hands back (and memoizes
-    on the store) their columnar layout.
+    :data:`STATUS_COMPUTED` reported.  Either way the trace is
+    :class:`~repro.core.kernel.TraceColumns`, memoized on the store
+    for sibling configs: a capture is the columns the simulator wrote,
+    a replay decodes straight to columns (the reference engine views
+    them as records itself).
     """
     key = None
     if trace_store is not None:
         key = trace_key(name, config.scale)
-        stored = trace_store.get(key, budget, columns=columns)
+        stored = trace_store.get(key, budget, columns=True)
         if stored is not None:
-            header, records = stored
-            if columns:
-                # Backfill the sidecar on first sharded-policy replay
-                # so the *next* replay can go segment-parallel.
-                _maybe_write_segindex(trace_store, key, records, policy)
-            return header["n_static"], records, STATUS_REPLAYED
-    n_static, records, complete = _capture(name, config, budget)
-    stored_ok = False
+            header, columns = stored
+            # Backfill the sidecar on first sharded-policy replay so
+            # the *next* replay can go segment-parallel.
+            _maybe_write_segindex(trace_store, key, columns, policy)
+            return header["n_static"], columns, STATUS_REPLAYED
+    n_static, captured, complete = _capture(name, config, budget)
     if trace_store is not None:
         try:
-            trace_store.put(key, records, n_static, complete=complete,
+            trace_store.put(key, captured, n_static, complete=complete,
                             workload=name)
-            stored_ok = True
         except OSError as error:
             # A trace that cannot be stored only costs the *next*
             # config a re-simulation; never fail the current job.
             get_recorder().count("store.trace.write_errors", 1)
             _log.warning("trace store write failed (%s); continuing "
                          "without the stored trace", error)
-    if columns:
-        recorder = get_recorder()
-        with recorder.span("trace.decode"):
-            records = TraceColumns.from_records(records, n_static)
-        recorder.count("trace.decode.records", records.n_records)
-        recorder.count("trace.decode.columnar", 1)
-        if stored_ok:
+        else:
             trace_store.memoize_columns(
                 key,
-                {"n_static": n_static, "n_records": records.n_records,
+                {"n_static": n_static, "n_records": captured.n_records,
                  "complete": complete},
-                records,
+                captured,
             )
-            _maybe_write_segindex(trace_store, key, records, policy)
-    return n_static, records, STATUS_COMPUTED
+            _maybe_write_segindex(trace_store, key, captured, policy)
+    return n_static, captured, STATUS_COMPUTED
 
 
 def _analyze_two_tier(name: str, config: ExperimentConfig,
@@ -331,8 +317,8 @@ def _analyze_two_tier(name: str, config: ExperimentConfig,
     Byte-identical to :func:`_analyze`: the analyzer sees the same
     record stream whether it comes from a live machine or a stored
     trace (``analyze_trace`` re-truncates to the config's own budget).
-    The engine is resolved up front so a columnar analysis can ask the
-    trace store for columns directly.
+    The engine is resolved up front, once, so a sharding decision and
+    the analysis agree on it.
 
     With a sharded policy (``segments > 1``) and a stored, indexed
     trace, the columnar analysis runs segment-parallel across a
@@ -344,16 +330,14 @@ def _analyze_two_tier(name: str, config: ExperimentConfig,
     job = Job(name, config)
     analysis_config = job.analysis_config()
     resolved = resolve_engine(engine, (analysis_config,))
-    columnar = resolved is AnalysisEngine.COLUMNAR
-    if (allow_shard and columnar and policy is not None
-            and policy.segments > 1):
+    if (allow_shard and resolved is AnalysisEngine.COLUMNAR
+            and policy is not None and policy.segments > 1):
         result = _try_segmented(name, analysis_config, config,
                                 trace_store, policy)
         if result is not None:
             return result, STATUS_REPLAYED
     n_static, records, status = _resolve_trace(
-        name, config, trace_store, config.max_instructions,
-        columns=columnar, policy=policy,
+        name, config, trace_store, config.max_instructions, policy=policy,
     )
     result = analyze_trace(
         records, n_static, name=name, config=analysis_config,
@@ -425,9 +409,7 @@ def _execute_sweep(name: str, configs, keys, store_root: str,
                                 for config, __ in missing]
             resolved = resolve_engine(engine, analysis_configs)
             n_static, records, __ = _resolve_trace(
-                name, missing[0][0], trace_store, budget,
-                columns=resolved is AnalysisEngine.COLUMNAR,
-                policy=policy,
+                name, missing[0][0], trace_store, budget, policy=policy,
             )
             results = analyze_many(
                 records, n_static, analysis_configs, name=name,
@@ -963,7 +945,6 @@ class ExperimentRunner:
                 resolved = resolve_engine(self.engine, analysis_configs)
                 n_static, records, status = _resolve_trace(
                     name, entries[0][1], self.trace_store, budget,
-                    columns=resolved is AnalysisEngine.COLUMNAR,
                 )
                 results = analyze_many(
                     records, n_static, analysis_configs, name=name,

@@ -304,16 +304,16 @@ class TraceStore(LRUFileStore):
             return False
         return header.get("n_records", 0) >= need
 
-    def put(self, key: str, records, n_static: int,
+    def put(self, key: str, trace, n_static: int,
             complete: bool | None = None,
             workload: str | None = None) -> Path:
-        """Atomically store ``records`` under ``key``; returns the path.
-
-        Overwrites an existing trace — the caller only re-captures when
-        the stored one could not serve, so the replacement is strictly
-        longer.  ``workload`` annotates the header for ``cache info``'s
-        fixed-vs-generated occupancy breakdown; it is not part of the
-        content address.
+        """Atomically store ``trace`` (captured columns, or anything
+        :func:`~repro.cpu.tracefile.save_trace` takes) under ``key``;
+        returns the path.  Overwrites an existing trace — the caller
+        only re-captures when the stored one could not serve, so the
+        replacement is strictly longer.  ``workload`` annotates the
+        header for ``cache info``'s fixed-vs-generated occupancy
+        breakdown; it is not part of the content address.
         """
         with get_recorder().span("store.trace.put"):
             fault_io("trace.write")
@@ -328,7 +328,7 @@ class TraceStore(LRUFileStore):
             path = self.path_for(key)
             path.parent.mkdir(parents=True, exist_ok=True)
             try:
-                self._publish(path, key, records, n_static, complete,
+                self._publish(path, key, trace, n_static, complete,
                               workload)
             except OSError as error:
                 if not is_enospc(error):
@@ -338,7 +338,7 @@ class TraceStore(LRUFileStore):
                     "store: trace write hit ENOSPC; evicting and "
                     "retrying once")
                 self.evict_for_space()
-                self._publish(path, key, records, n_static, complete,
+                self._publish(path, key, trace, n_static, complete,
                               workload)
             if maybe_fault("trace.corrupt"):
                 # Injected bit rot: truncate the published file so the
@@ -348,7 +348,7 @@ class TraceStore(LRUFileStore):
             self.evict()
             return path
 
-    def _publish(self, path: Path, key: str, records, n_static: int,
+    def _publish(self, path: Path, key: str, trace, n_static: int,
                  complete: bool | None, workload: str | None) -> None:
         fault_enospc("store.enospc")
         fd, tmp_name = tempfile.mkstemp(
@@ -356,7 +356,7 @@ class TraceStore(LRUFileStore):
         )
         os.close(fd)
         try:
-            save_trace(records, tmp_name, n_static, complete=complete,
+            save_trace(trace, tmp_name, n_static, complete=complete,
                        workload=workload)
             os.replace(tmp_name, path)
         except BaseException:

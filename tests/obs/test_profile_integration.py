@@ -44,6 +44,15 @@ def _config() -> ExperimentConfig:
     return ExperimentConfig(workloads=WORKLOADS, max_instructions=BUDGET)
 
 
+def _span_names(spans) -> set[str]:
+    """Every span name anywhere in a profile's span forest."""
+    names = set()
+    for span in spans:
+        names.add(span["name"])
+        names |= _span_names(span["children"])
+    return names
+
+
 class TestProfileReconciliation:
     def test_cold_run_counters_match_metrics(self, tmp_path):
         run = _runner(tmp_path, observe=True).run(_config())
@@ -108,6 +117,24 @@ class TestProfileReconciliation:
         assert "trace.decode" in {s["name"] for c in root["children"]
                                   for s in c["children"]} | child_names
         assert "simulate" not in child_names
+
+    def test_cold_run_decodes_nothing(self, tmp_path):
+        # A cold job simulates straight into columns and packs the
+        # trace file from them: it simulates and encodes, and only a
+        # replay decodes.
+        cold = _runner(tmp_path, observe=True).run(_config())
+        names = _span_names(cold.metrics.profile["spans"])
+        assert {"simulate", "trace.encode"} <= names
+        assert "trace.decode" not in names
+        assert "analyze.kernel.layout" not in names
+        assert not any(name.startswith("trace.decode")
+                       for name in cold.metrics.profile["counters"])
+        replay = _runner(tmp_path, observe=True).run(
+            ExperimentConfig(workloads=WORKLOADS,
+                             max_instructions=BUDGET - 500))
+        names = _span_names(replay.metrics.profile["spans"])
+        assert "trace.decode" in names
+        assert not {"simulate", "trace.encode"} & names
 
     def test_hits_are_counted_without_work(self, tmp_path):
         runner = _runner(tmp_path, observe=True)

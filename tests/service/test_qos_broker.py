@@ -46,12 +46,15 @@ class FakeClock:
 
 class GatedRunner:
     """batch_runner seam whose *first* batch blocks on an event, so a
-    test can pile up queued work behind a busy executor."""
+    test can pile up queued work behind a busy executor.  With
+    ``gated=False`` the gate starts open and nothing blocks."""
 
-    def __init__(self):
+    def __init__(self, gated: bool = True):
         self.calls: list[list] = []
         self.started = threading.Event()
         self.gate = threading.Event()
+        if not gated:
+            self.gate.set()
 
     def __call__(self, pairs):
         self.calls.append(list(pairs))
@@ -64,6 +67,23 @@ class GatedRunner:
     @property
     def jobs_run(self) -> int:
         return sum(len(call) for call in self.calls)
+
+
+@pytest.fixture()
+def gated_runner():
+    """Make :class:`GatedRunner` s whose gates open at teardown, so a
+    test that fails before opening one never leaves an executor thread
+    waiting out the gate's timeout."""
+    made = []
+
+    def make(gated: bool = True) -> GatedRunner:
+        runner = GatedRunner(gated)
+        made.append(runner)
+        return runner
+
+    yield make
+    for runner in made:
+        runner.gate.set()
 
 
 def run(coro):
@@ -79,12 +99,12 @@ def make_broker(batch_runner, qos=None, quota_clock=None, **overrides):
 
 
 class TestFairness:
-    def test_background_flood_cannot_starve_interactive(self):
+    def test_background_flood_cannot_starve_interactive(self, gated_runner):
         # A background job occupies the single worker while six more
         # background jobs queue; two interactive jobs arrive *last*.
         # Weighted-fair dispatch must run both interactive jobs ahead
         # of (almost all of) the earlier background queue.
-        runner = GatedRunner()
+        runner = gated_runner()
         done_order: list[tuple[str, int]] = []
 
         async def submit(broker, tenant, config):
@@ -131,8 +151,8 @@ class TestFairness:
         )
         assert later_background >= 4, done_order
 
-    def test_batch_max_bounds_every_batch(self):
-        runner = GatedRunner()
+    def test_batch_max_bounds_every_batch(self, gated_runner):
+        runner = gated_runner()
 
         async def main():
             policy = qos_policy_from_dict({"batch_max": 2})
@@ -157,8 +177,8 @@ class TestFairness:
         assert runner.jobs_run == 6
         assert max(len(call) for call in runner.calls) <= 2
 
-    def test_no_policy_keeps_single_fifo_class(self):
-        runner = GatedRunner()
+    def test_no_policy_keeps_single_fifo_class(self, gated_runner):
+        runner = gated_runner(gated=False)
 
         async def main():
             broker = make_broker(runner)       # qos=None
@@ -173,12 +193,12 @@ class TestFairness:
 
 
 class TestQuotas:
-    def test_rate_shed_is_per_tenant_with_retry_after(self):
+    def test_rate_shed_is_per_tenant_with_retry_after(self, gated_runner):
         clock = FakeClock()
         policy = qos_policy_from_dict(
             {"tenants": {"mallory": {"rate": 1.0, "burst": 1}}}
         )
-        runner = GatedRunner()
+        runner = gated_runner(gated=False)
 
         async def main():
             broker = make_broker(runner, qos=policy, quota_clock=clock)
@@ -206,11 +226,11 @@ class TestQuotas:
         assert attribution["mallory"]["shed"] == {"rate": 1}
         assert attribution["alice"]["shed"] == {}
 
-    def test_inflight_cap_counts_owned_cold_jobs_only(self):
+    def test_inflight_cap_counts_owned_cold_jobs_only(self, gated_runner):
         policy = qos_policy_from_dict(
             {"tenants": {"mallory": {"max_inflight": 1}}}
         )
-        runner = GatedRunner()
+        runner = gated_runner()
 
         async def main():
             broker = make_broker(runner, qos=policy)
@@ -225,10 +245,13 @@ class TestQuotas:
             assert excinfo.value.scope == "inflight"
             # ...but joining the job already in flight is free: a
             # coalesced request owns nothing.
-            __, status = await broker.submit("com", cfg(1),
-                                             tenant="mallory")
-            assert status == "coalesced"
+            join = asyncio.create_task(
+                broker.submit("com", cfg(1), tenant="mallory")
+            )
+            await asyncio.sleep(0.05)
             runner.gate.set()
+            __, status = await join
+            assert status == "coalesced"
             await first
             # The done callback released the slot: cold is admitted.
             __, status = await broker.submit("com", cfg(3),
@@ -238,13 +261,13 @@ class TestQuotas:
 
         run(main())
 
-    def test_quota_errors_do_not_leak_inflight_slots(self):
+    def test_quota_errors_do_not_leak_inflight_slots(self, gated_runner):
         # A shed at the global admission gate must release the
         # tenant's just-claimed in-flight slot.
         policy = qos_policy_from_dict(
             {"tenants": {"alice": {"max_inflight": 4}}}
         )
-        runner = GatedRunner()
+        runner = gated_runner(gated=False)
 
         async def main():
             broker = make_broker(runner, qos=policy, max_queue=0)
@@ -261,8 +284,9 @@ class TestQuotas:
 
 
 class TestAttribution:
-    def test_coalesced_billed_to_each_requester_executed_once(self):
-        runner = GatedRunner()
+    def test_coalesced_billed_to_each_requester_executed_once(
+            self, gated_runner):
+        runner = gated_runner()
 
         async def main():
             broker = make_broker(runner, qos=FAIR_POLICY)
@@ -290,8 +314,8 @@ class TestAttribution:
         assert attribution["mallory"]["requests"] == 1
         assert attribution["mallory"]["served"] == {"coalesced": 1}
 
-    def test_computed_requests_split_into_phases(self):
-        runner = GatedRunner()
+    def test_computed_requests_split_into_phases(self, gated_runner):
+        runner = gated_runner(gated=False)
 
         async def main():
             broker = make_broker(runner, qos=FAIR_POLICY)
@@ -310,8 +334,8 @@ class TestAttribution:
         assert "store" in entry["phases"]
         assert entry["wall_seconds"] > 0
 
-    def test_anonymous_requests_bill_the_default_tenant(self):
-        runner = GatedRunner()
+    def test_anonymous_requests_bill_the_default_tenant(self, gated_runner):
+        runner = gated_runner(gated=False)
 
         async def main():
             broker = make_broker(runner, qos=FAIR_POLICY)
@@ -323,8 +347,8 @@ class TestAttribution:
         attribution = run(main())
         assert attribution["default"]["requests"] == 1
 
-    def test_stats_expose_policy_quotas_and_tenants(self):
-        runner = GatedRunner()
+    def test_stats_expose_policy_quotas_and_tenants(self, gated_runner):
+        runner = gated_runner(gated=False)
 
         clock = FakeClock()
 
